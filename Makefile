@@ -1,11 +1,10 @@
 # Verification entry points. `make verify` is the PR gate: the tier-1
-# test suite, a 2-job smoke sweep through the parallel runner and a
-# throwaway result cache, and a perf-harness smoke run that validates
-# the BENCH document schema. See docs/PERFORMANCE.md. `make verify-faults`
-# runs the full fault-injection battery, including the full-ledger soak
-# cases tier-1 excludes. See docs/RELIABILITY.md. `make verify-service`
-# runs the in-process service suites plus the TCP/loadgen soak battery
-# (the only target that opens sockets). See docs/SERVICE.md.
+# test suite, a smoke check that the extended ledger prints the same
+# bytes serially and with `--jobs 2`, and a perf-harness smoke run that
+# validates the BENCH document schema. See docs/PERFORMANCE.md.
+# `make verify-service` runs the in-process service suites plus the
+# TCP/loadgen soak battery (the only target that opens sockets). See
+# docs/SERVICE.md.
 # `make verify-sharding` runs the sharded-deployment suites (partitioner,
 # coordinator, 1-shard decision equivalence, 4-shard replay) socket-free;
 # SOAK=1 adds the multi-shard TCP soaks. See docs/SHARDING.md.
@@ -22,15 +21,12 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify verify-faults verify-service verify-sharding verify-procs \
+.PHONY: verify verify-service verify-sharding verify-procs \
 	test smoke kernel-smoke bench bench-smoke bench-compare bench-all \
 	stress stress-smoke stress-procs
 
 verify: test smoke kernel-smoke bench-smoke stress-smoke verify-service \
 	verify-sharding verify-procs
-
-verify-faults:
-	$(PYTHON) -m pytest -q -m faults
 
 # The in-process service battery (no sockets): manager semantics, the
 # simulator differential, wire dispatch, and the loadgen driven through
@@ -70,10 +66,11 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 smoke:
-	CACHE_DIR=$$(mktemp -d) && \
-	$(PYTHON) -m repro reproduce --jobs 2 --cache-dir $$CACHE_DIR && \
-	$(PYTHON) -m repro reproduce --jobs 2 --cache-dir $$CACHE_DIR && \
-	rm -rf $$CACHE_DIR
+	serial=$$(mktemp) && parallel=$$(mktemp) && \
+	$(PYTHON) -m repro reproduce --extended > $$serial && \
+	$(PYTHON) -m repro reproduce --extended --jobs 2 > $$parallel && \
+	cmp $$serial $$parallel; \
+	status=$$?; rm -f $$serial $$parallel; exit $$status
 
 # Array-kernel equivalence smoke: representative corpus cases through
 # kernel and object paths must emit byte-identical traces.

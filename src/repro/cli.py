@@ -211,7 +211,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    if getattr(args, "profile", False):
+    if args.jobs < 1:
+        print(f"--jobs must be >= 1 (got {args.jobs})", file=sys.stderr)
+        return 2
+    if args.profile:
         import cProfile
         import pstats
 
@@ -265,9 +268,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve a generated catalog over TCP until interrupted."""
     import asyncio
 
-    from repro.service import LockServer, ServiceConfig, install_uvloop
+    from repro.service import LockServer, ServiceConfig
 
-    loop_impl = install_uvloop(args.uvloop)
     taskset = generate_taskset(_workload_from_args(args))
     config = ServiceConfig(
         max_sessions=args.max_sessions,
@@ -304,8 +306,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"repro-service listening on {server.host}:{server.port} "
             f"(protocol={args.protocol}, "
             f"{len(taskset.names)} transactions, "
-            f"{len(taskset.items)} items{sharding}, "
-            f"event loop {loop_impl})",
+            f"{len(taskset.items)} items{sharding})",
             flush=True,
         )
         try:
@@ -363,11 +364,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         LockServer,
         ServiceConfig,
         connect_tcp,
-        install_uvloop,
         run_loadgen,
     )
 
-    install_uvloop(args.uvloop)
     config = LoadgenConfig(
         clients=args.clients,
         transactions_per_client=args.per_client,
@@ -458,7 +457,6 @@ def _cmd_stress(args: argparse.Namespace) -> int:
     """
     import asyncio
 
-    from repro.service import install_uvloop
     from repro.verify.parity import ParityError, parity_battery
     from repro.verify.stress import (
         StressSpec,
@@ -466,10 +464,6 @@ def _cmd_stress(args: argparse.Namespace) -> int:
         run_stress,
         simulator_stress_check,
     )
-
-    loop_impl = install_uvloop(args.uvloop)
-    if args.uvloop:
-        print(f"event loop: {loop_impl}")
 
     if args.smoke:
         transactions = 400
@@ -592,64 +586,10 @@ def _cmd_stress(args: argparse.Namespace) -> int:
 
 
 def _run_reproduce(args: argparse.Namespace) -> int:
-    from repro.exceptions import FaultSpecError, SweepResumeError
-    from repro.experiments import (
-        FaultPlan,
-        ResultCache,
-        RetryPolicy,
-        render_summary,
-        run_all,
-    )
+    from repro.experiments import render_summary, run_all
 
-    if args.retries < 0:
-        print(f"--retries must be >= 0 (got {args.retries})", file=sys.stderr)
-        return 2
-    if args.job_timeout is not None and args.job_timeout <= 0:
-        print(f"--job-timeout must be positive seconds (got {args.job_timeout:g})",
-              file=sys.stderr)
-        return 2
-    if args.resume and args.no_cache:
-        print("--resume needs the on-disk result cache; drop --no-cache",
-              file=sys.stderr)
-        return 2
-    fault_plan = None
-    if args.inject_faults:
-        try:
-            fault_plan = FaultPlan.parse(args.inject_faults)
-        except FaultSpecError as exc:
-            print(f"invalid --inject-faults spec: {exc}", file=sys.stderr)
-            return 2
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    if cache is not None:
-        try:
-            cache.ensure_writable()
-        except OSError as exc:
-            print(f"cache directory {cache.root} is unusable: {exc}; "
-                  "pass --no-cache or a writable --cache-dir", file=sys.stderr)
-            return 2
-    stats_out: list = []
-    try:
-        reports = run_all(
-            extended=args.extended,
-            jobs=args.jobs,
-            cache=cache,
-            progress=args.jobs > 1,
-            stats_out=stats_out,
-            retry=RetryPolicy(
-                max_retries=args.retries, job_timeout=args.job_timeout
-            ),
-            fault_plan=fault_plan,
-            resume=args.resume,
-        )
-    except SweepResumeError as exc:
-        print(f"cannot resume: {exc}", file=sys.stderr)
-        return 2
-    except FaultSpecError as exc:
-        print(f"invalid --inject-faults spec: {exc}", file=sys.stderr)
-        return 2
+    reports = run_all(extended=args.extended, jobs=args.jobs)
     print(render_summary(reports, verbose=args.verbose))
-    if stats_out:
-        print(stats_out[-1].render(), file=sys.stderr)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -725,37 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(output is byte-identical for every N)",
     )
     reproduce.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute every experiment instead of consulting the "
-             "on-disk result cache",
-    )
-    reproduce.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result-cache root (default: $REPRO_CACHE_DIR or "
-             "~/.cache/repro)",
-    )
-    reproduce.add_argument(
-        "--retries", type=int, default=2, metavar="N",
-        help="resubmissions allowed per job after a crash, hang, or "
-             "transient failure (default 2; 0 = fail fast)",
-    )
-    reproduce.add_argument(
-        "--job-timeout", type=float, default=None, metavar="SECONDS",
-        help="abandon and retry any single job attempt running longer "
-             "than this (default: no timeout)",
-    )
-    reproduce.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted sweep from the manifest journaled "
-             "next to the cache, recomputing only unfinished jobs",
-    )
-    reproduce.add_argument(
-        "--inject-faults", default=None, metavar="SPEC",
-        help="deterministically inject faults for testing, e.g. "
-             "'flaky:table1@2,crash:figure3' or 'random:7:3' "
-             "(kinds: crash, hang, flaky, corrupt; see docs/RELIABILITY.md)",
-    )
-    reproduce.add_argument(
         "--profile", action="store_true",
         help="run under cProfile and print the hottest functions to "
              "stderr (cumulative time; single-process runs only)",
@@ -801,10 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admission-control cap on live sessions")
     serve.add_argument("--deadline", type=float, default=None, metavar="S",
                        help="default relative deadline for sessions")
-    serve.add_argument("--uvloop", action="store_true",
-                       help="run on uvloop when installed (falls back to "
-                            "the stock asyncio loop with a notice; the "
-                            "stats payload reports which is active)")
     serve.set_defaults(func=_cmd_serve)
 
     loadgen = sub.add_parser(
@@ -859,9 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="self-host N shards as separate shard-host "
                               "processes (ignored with --connect; "
                               "overrides --shards)")
-    loadgen.add_argument("--uvloop", action="store_true",
-                         help="run on uvloop when installed (clean "
-                              "fallback to the stock asyncio loop)")
     loadgen.set_defaults(func=_cmd_loadgen)
 
     stress = sub.add_parser(
@@ -901,9 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
     stress.add_argument("--max-sessions", type=int, default=None,
                         help="admission cap for the concurrent phase "
                              "(default: 512 for every shard count)")
-    stress.add_argument("--uvloop", action="store_true",
-                        help="run the concurrent phase on uvloop when "
-                             "installed (falls back to asyncio)")
     stress.add_argument("--parity-seeds", type=int, default=20, metavar="N",
                         help="decision-parity workload seeds 0..N-1")
     stress.add_argument("--parity-transactions", type=int, default=25,

@@ -21,7 +21,7 @@ exact — no approximation of "read before/after write" by timestamps.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.db.history import History
 from repro.db.serialization_graph import SerializationGraph
@@ -96,6 +96,10 @@ def build_sparse_serialization_graph(history: History) -> SerializationGraph:
             (event.version_seq, event.job)
         )
     committed = set(history.committed_jobs)
+    # Per item, built once: sorted version seqs, their installers, and the
+    # first *committed* installer at or after each position (``None`` past
+    # the end) — so each committed read costs one binary search.
+    index_by_item: Dict[str, Tuple[List[int], List[str], List[Optional[str]]]] = {}
     for item, versions in installs_by_item.items():
         versions.sort()
         # ww chain between consecutive installers — exactly the dense
@@ -103,27 +107,33 @@ def build_sparse_serialization_graph(history: History) -> SerializationGraph:
         # target can reach every later installer along the chain.
         for (_, earlier), (_, later) in zip(versions, versions[1:]):
             graph.add_edge(earlier, later, "ww")
+        seqs = [seq for seq, _ in versions]
+        writers = [writer for _, writer in versions]
+        next_committed: List[Optional[str]] = [None] * (len(writers) + 1)
+        for index in range(len(writers) - 1, -1, -1):
+            writer = writers[index]
+            next_committed[index] = (
+                writer if writer in committed else next_committed[index + 1]
+            )
+        index_by_item[item] = (seqs, writers, next_committed)
 
     for event in history.committed_reads():
         item = event.item
         assert item is not None and event.version_seq is not None
-        versions = installs_by_item.get(item, [])
-        seqs = [seq for seq, _ in versions]
+        if item not in index_by_item:
+            continue
+        seqs, writers, next_committed = index_by_item[item]
         index = bisect.bisect_left(seqs, event.version_seq)
-        if index < len(versions) and versions[index][0] == event.version_seq:
-            writer = versions[index][1]
-            if writer in committed:
-                graph.add_edge(writer, event.job, "wr")
+        if index < len(seqs) and seqs[index] == event.version_seq:
+            if writers[index] in committed:
+                graph.add_edge(writers[index], event.job, "wr")
             index += 1
         # First *committed* installer of a later version; uncommitted
         # installers never carry wr/rw edges, so skipping them preserves
         # reachability among the committed jobs.
-        while index < len(versions):
-            writer = versions[index][1]
-            if writer in committed:
-                graph.add_edge(event.job, writer, "rw")
-                break
-            index += 1
+        later = next_committed[index]
+        if later is not None:
+            graph.add_edge(event.job, later, "rw")
     return graph
 
 

@@ -36,7 +36,6 @@ Layers (see docs/SERVICE.md):
 """
 
 from repro.service.client import ServiceClient, connect_tcp, in_process_client
-from repro.service.eventloop import install_uvloop, loop_implementation
 from repro.service.loadgen import LoadgenConfig, LoadReport, run_loadgen
 from repro.service.manager import LockManager, ServiceConfig, Session
 from repro.service.server import LockServer
@@ -68,8 +67,6 @@ __all__ = [
     "ShardingStats",
     "connect_tcp",
     "in_process_client",
-    "install_uvloop",
-    "loop_implementation",
     "make_partitioner",
     "run_loadgen",
 ]

@@ -104,7 +104,6 @@ from repro.exceptions import (
 from repro.model.spec import LockMode, TaskSet
 from repro.model.validation import validate_taskset
 from repro.protocols import make_protocol
-from repro.service.eventloop import loop_implementation
 from repro.service.stats import ServiceStats
 from repro.trace.recorder import (
     LockEvent,
@@ -618,7 +617,6 @@ class LockManager:
         doc["uptime_s"] = self.now()
         doc["system_ceiling"] = self.system_ceiling()
         doc["decision_path"] = "kernel" if self.kernel is not None else "object"
-        doc["event_loop"] = loop_implementation()
         return doc
 
     def history_events(self) -> List[Dict[str, Any]]:

@@ -178,3 +178,98 @@ class TestSparseChecker:
             except SerializationViolation:
                 fast_ok = False
             assert dense_ok == fast_ok, f"trial {trial} diverged"
+
+
+def _zipf_write_heavy_history(
+    transactions, *, seed=0, stale_reads=0.0, uncommitted=0.0
+):
+    """Zipf-hot, write-heavy history: each transaction reads three items
+    and overwrites two of them, drawn from 32 items with Zipf(1.2)
+    popularity, so the hottest item collects a third of all versions.
+
+    Transactions run back to back, so every read observes the latest
+    version (serializable) unless ``stale_reads`` makes a read observe a
+    random older one.  ``uncommitted`` is the share of transactions that
+    install but never commit.
+    """
+    import random
+
+    rng = random.Random(seed)
+    items = [f"i{k}" for k in range(32)]
+    weights = [1.0 / (rank + 1) ** 1.2 for rank in range(len(items))]
+    versions = {item: [0] for item in items}
+    seq = 0
+    h = History()
+    for t in range(transactions):
+        job = f"T{t}#0"
+        picked = rng.choices(items, weights, k=3)
+        for item in picked:
+            observed = versions[item][-1]
+            if rng.random() < stale_reads:
+                observed = rng.choice(versions[item])
+            h.record_read(job, item, observed, float(seq))
+        for item in picked[:2]:
+            seq += 1
+            versions[item].append(seq)
+            h.record_install(job, item, seq, float(seq))
+        if rng.random() >= uncommitted:
+            h.record_commit(job, float(seq))
+    return h
+
+
+class TestSparseCheckerScaling:
+    """The sparse checker's documented bound, O(events · log versions):
+    per-item indexes are built once, so a hot item's version list is
+    never rebuilt per read."""
+
+    def test_doubling_a_hot_history_costs_less_than_3x(self):
+        import gc
+        import statistics
+        import time
+
+        from repro.db.serializability import check_serializable_fast
+
+        small = _zipf_write_heavy_history(4000)
+        large = _zipf_write_heavy_history(8000)
+        # Paired rounds, small then large back to back, so a change in
+        # host speed hits both halves of a round alike; the median ratio
+        # discards the rounds it splits.  GC is off while timing, as in
+        # timeit, so collector pauses do not scale with the heap.
+        ratios = []
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(7):
+                t0 = time.perf_counter()
+                check_serializable_fast(small)
+                t1 = time.perf_counter()
+                check_serializable_fast(large)
+                t2 = time.perf_counter()
+                ratios.append((t2 - t1) / (t1 - t0))
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        ratio = statistics.median(ratios)
+        assert ratio < 3.0, f"2x history cost {ratio:.2f}x: {sorted(ratios)}"
+
+    def test_hot_histories_agree_with_dense_verdict(self):
+        from repro.db.serializability import check_serializable_fast
+
+        verdicts = set()
+        for seed in range(12):
+            h = _zipf_write_heavy_history(
+                30, seed=seed, stale_reads=0.02, uncommitted=0.1
+            )
+            try:
+                check_serializable(h)
+                dense_ok = True
+            except SerializationViolation:
+                dense_ok = False
+            try:
+                check_serializable_fast(h)
+                fast_ok = True
+            except SerializationViolation:
+                fast_ok = False
+            assert dense_ok == fast_ok, f"seed {seed} diverged"
+            verdicts.add(dense_ok)
+        assert verdicts == {True, False}  # both verdicts exercised
